@@ -5,7 +5,7 @@
 //! parasitic-calculation mode can sit inside the sizing loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use losac_core::layout_gen::{ota_layout_plan, LayoutOptions};
+use losac_core::layout_gen::{topology_layout_plan, LayoutOptions};
 use losac_layout::extract::extract_default;
 use losac_layout::row::{build_row, Finger, RowSpec};
 use losac_layout::slicing::ShapeConstraint;
@@ -44,7 +44,7 @@ fn bench_layout(c: &mut Criterion) {
     let ota = FoldedCascodePlan::default()
         .size(&tech, &specs, &ParasiticMode::None)
         .expect("sizes");
-    let plan = ota_layout_plan(&tech, &ota, &LayoutOptions::default());
+    let plan = topology_layout_plan(&tech, &ota, &LayoutOptions::default());
 
     c.bench_function("ota_parasitic_calculation_mode", |b| {
         b.iter(|| {

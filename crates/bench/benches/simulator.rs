@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use losac_sim::ac::{ac_sweep, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcOptions};
-use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
+use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode, Topology};
 use losac_tech::Technology;
 
 fn bench_simulator(c: &mut Criterion) {

@@ -28,15 +28,13 @@ fn bench_sizing(c: &mut Criterion) {
         })
     });
 
-    // The full Table-1 measurement pipeline in its three bitwise-equal
-    // configurations: the historical serial path, linearisation reuse,
-    // and reuse plus two threads (concurrent slew transient + sweep
-    // fan-out).
+    // The full Table-1 measurement pipeline in its two bitwise-equal
+    // configurations: serial, and two threads (concurrent slew
+    // transient + sweep fan-out).
     let ota = FoldedCascodePlan::default()
         .size(&tech, &specs, &ParasiticMode::None)
         .unwrap();
     for (name, opts) in [
-        ("evaluate_legacy", EvalOptions::legacy()),
         ("evaluate_reuse", EvalOptions::default()),
         (
             "evaluate_reuse_2threads",

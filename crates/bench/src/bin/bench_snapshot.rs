@@ -2,7 +2,7 @@
 //! written to `BENCH_PR10.json`.
 //!
 //! Measures the Table-1 measurement pipeline in every configuration
-//! (legacy serial, linearisation reuse, reuse + threads, cached), a
+//! (serial, reuse + threads, cached), a
 //! same-run **dense-kernel ablation** of the sparse solver, a same-run
 //! **finite-difference ablation** of the analytic device derivatives
 //! (`fd_1t`, the historical 7-evals-per-stamp model path), the raw AC
@@ -38,7 +38,7 @@ use losac_sim::dc::{dc_operating_point, DcOptions};
 use losac_sim::linear::Linearized;
 use losac_sim::SolverKind;
 use losac_sizing::eval::{evaluate_with, EvalCache, EvalOptions};
-use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
+use losac_sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode, Topology};
 use losac_tech::Technology;
 use std::sync::Arc;
 use std::time::Instant;
@@ -184,7 +184,6 @@ fn main() {
 
     // --- evaluate: every configuration, plus the dense ablation -----------
     let reps = 5;
-    let legacy = EvalOptions::legacy();
     let reuse_1t = EvalOptions::default();
     let reuse_2t = EvalOptions::default().with_threads(2);
     let reuse_4t = EvalOptions::default().with_threads(4);
@@ -196,7 +195,6 @@ fn main() {
     let mut eval_rows: Vec<String> = timed_interleaved(
         reps,
         vec![
-            ("legacy", Box::new(|| run(&legacy))),
             ("reuse_1t", Box::new(|| run(&reuse_1t))),
             ("reuse_2t", Box::new(|| run(&reuse_2t))),
             ("reuse_4t", Box::new(|| run(&reuse_4t))),

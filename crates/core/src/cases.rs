@@ -69,8 +69,7 @@ impl fmt::Display for Case {
 pub struct CaseResult {
     /// Which case this is.
     pub case: Case,
-    /// The sized circuit. Recover the concrete type — when it is known —
-    /// through [`Topology::as_any`].
+    /// The sized circuit.
     pub ota: Arc<dyn Topology>,
     /// What the sizing tool believes (Table 1's plain numbers).
     pub synthesized: Performance,
@@ -164,7 +163,7 @@ pub struct CaseOptions {
     /// phases of the run.
     pub control: FlowControl,
     /// Performance knobs for the two `evaluate` calls of the run
-    /// (threads, linearisation reuse, shared evaluation cache). Every
+    /// (threads, shared evaluation cache, kernels). Every
     /// knob is bitwise-neutral *except* [`EvalOptions::scenario`], which
     /// selects the single PVT/mismatch context both rows are measured
     /// under (nominal by default).

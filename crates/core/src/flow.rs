@@ -169,9 +169,8 @@ pub struct FlowOptions {
     /// stop").
     pub control: FlowControl,
     /// Performance knobs for every `evaluate` the flow's callers run on
-    /// its results (threads, linearisation reuse, shared evaluation
-    /// cache). All knobs are bitwise-neutral; the default is serial with
-    /// reuse on and no cache.
+    /// its results (threads, shared evaluation cache, kernels). All knobs
+    /// are bitwise-neutral; the default is serial with no cache.
     pub eval: EvalOptions,
 }
 
@@ -300,9 +299,6 @@ impl FlowOptions {
 pub struct FlowResult {
     /// The final sized circuit, behind the object-safe [`Topology`]
     /// interface (evaluation, device map, layout spec, supply current).
-    /// Callers that need topology-specific data (bias voltages, branch
-    /// currents) can recover the concrete type through
-    /// [`Topology::as_any`].
     pub ota: Arc<dyn Topology>,
     /// The parasitic mode the final sizing used (carries the feedback).
     pub mode: ParasiticMode,

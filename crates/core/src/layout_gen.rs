@@ -13,9 +13,7 @@
 use losac_layout::plan::{DeviceDef, FoldPolicy, LayoutPlan, Module, ParasiticReport};
 use losac_layout::slicing::SlicingTree;
 use losac_layout::stack::{StackDevice, StackSpec, StackStyle};
-use losac_sizing::{
-    DeviceFeedback, DiffGeom, FoldedCascodeOta, LayoutFeedback, LayoutModule, Topology,
-};
+use losac_sizing::{DeviceFeedback, DiffGeom, LayoutFeedback, LayoutModule, Topology};
 use losac_tech::units::{m_to_nm, Nm};
 use losac_tech::Technology;
 use std::collections::HashMap;
@@ -43,19 +41,6 @@ impl LayoutOptions {
             fold_hints: HashMap::new(),
         }
     }
-}
-
-/// Build the folded-cascode OTA's layout plan from the sized circuit.
-///
-/// Thin wrapper over [`topology_layout_plan`], kept for callers that
-/// hold the concrete type; the plan is built from the topology's
-/// declared layout spec either way.
-pub fn ota_layout_plan(
-    tech: &Technology,
-    ota: &FoldedCascodeOta,
-    opts: &LayoutOptions,
-) -> LayoutPlan {
-    topology_layout_plan(tech, ota, opts)
 }
 
 /// Build a topology's layout plan from the sized circuit.
@@ -227,7 +212,7 @@ fn map_net(net: &str) -> String {
 mod tests {
     use super::*;
     use losac_layout::slicing::ShapeConstraint;
-    use losac_sizing::{FoldedCascodePlan, OtaSpecs, ParasiticMode};
+    use losac_sizing::{FoldedCascodeOta, FoldedCascodePlan, OtaSpecs, ParasiticMode};
 
     fn sized() -> (Technology, FoldedCascodeOta) {
         let tech = Technology::cmos06();
@@ -240,7 +225,7 @@ mod tests {
     #[test]
     fn plan_builds_and_generates() {
         let (tech, ota) = sized();
-        let plan = ota_layout_plan(&tech, &ota, &LayoutOptions::default());
+        let plan = topology_layout_plan(&tech, &ota, &LayoutOptions::default());
         assert_eq!(plan.modules.len(), 8);
         let g = plan.generate(&tech, ShapeConstraint::MinArea).unwrap();
         // All eleven transistors reported.
@@ -253,7 +238,7 @@ mod tests {
     #[test]
     fn parasitic_report_roundtrip() {
         let (tech, ota) = sized();
-        let plan = ota_layout_plan(&tech, &ota, &LayoutOptions::default());
+        let plan = topology_layout_plan(&tech, &ota, &LayoutOptions::default());
         let rep = plan
             .calculate_parasitics(&tech, ShapeConstraint::MinArea)
             .unwrap();
@@ -305,7 +290,7 @@ mod tests {
     #[test]
     fn em_clean_with_plan_currents() {
         let (tech, ota) = sized();
-        let plan = ota_layout_plan(&tech, &ota, &LayoutOptions::default());
+        let plan = topology_layout_plan(&tech, &ota, &LayoutOptions::default());
         let rep = plan
             .calculate_parasitics(&tech, ShapeConstraint::MinArea)
             .unwrap();

@@ -59,7 +59,7 @@ pub use cases::{
 pub use flow::{
     layout_oriented_synthesis, FlowControl, FlowError, FlowOptions, FlowOptionsBuilder, FlowResult,
 };
-pub use layout_gen::{ota_layout_plan, to_feedback, topology_layout_plan, LayoutOptions};
+pub use layout_gen::{to_feedback, topology_layout_plan, LayoutOptions};
 pub use telemetry::FlowTelemetry;
 pub use traditional::{traditional_flow, traditional_flow_with, TraditionalResult};
 

@@ -14,8 +14,8 @@ use losac_engine::{CancelToken, Engine, EngineOptions, SynthesisJob};
 use losac_obs::{Record, RecordKind, Sink};
 use losac_sizing::EvalCache;
 use std::collections::BinaryHeap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -435,22 +435,59 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // appended; keeping the buffer across iterations lets the retry
     // finish the line instead of corrupting the stream.
     let mut buf = String::new();
+    let mut serve_line = |reader: &mut BufReader<TcpStream>| match reader.read_line(&mut buf) {
+        Ok(0) => ReadStep::Eof,
+        Ok(_) => {
+            let line = std::mem::take(&mut buf);
+            if !line.trim().is_empty() {
+                handle_line(&line, &client, shared);
+            }
+            ReadStep::Line
+        }
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            ReadStep::Idle
+        }
+        Err(_) => ReadStep::Eof,
+    };
     while client.alive.load(Ordering::Acquire) && !shared.stopping.load(Ordering::Acquire) {
-        match reader.read_line(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = std::mem::take(&mut buf);
-                if !line.trim().is_empty() {
-                    handle_line(&line, &client, shared);
-                }
+        if serve_line(&mut reader) == ReadStep::Eof {
+            break;
+        }
+    }
+    if shared.stopping.load(Ordering::Acquire) {
+        // Closing a socket with unread input makes the kernel send RST,
+        // which can destroy answers the peer has not read yet. So answer
+        // the lines the peer already sent (a submit now gets `draining`)
+        // until it goes quiet, bounded by one read timeout...
+        let quiet_by = Instant::now() + READ_TIMEOUT;
+        while client.alive.load(Ordering::Acquire) && Instant::now() < quiet_by {
+            if serve_line(&mut reader) != ReadStep::Line {
+                break;
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+        }
+        // ...then signal EOF and discard input until the peer closes too,
+        // again for at most one read timeout.
+        let _ = reader.get_ref().shutdown(Shutdown::Write);
+        let closed_by = Instant::now() + READ_TIMEOUT;
+        let mut sink = [0u8; 4096];
+        while Instant::now() < closed_by {
+            if !matches!(reader.get_mut().read(&mut sink), Ok(n) if n > 0) {
+                break;
             }
-            Err(_) => break,
         }
     }
     client.alive.store(false, Ordering::Release);
+}
+
+/// What one `read_line` attempt of a connection handler produced.
+#[derive(Debug, PartialEq, Eq)]
+enum ReadStep {
+    /// A line was read and answered.
+    Line,
+    /// The read timed out without a complete line.
+    Idle,
+    /// The peer closed the connection, or the socket failed.
+    Eof,
 }
 
 fn handle_line(line: &str, client: &Arc<ClientHandle>, shared: &Arc<Shared>) {

@@ -516,23 +516,42 @@ impl<T: Scalar> SparseFactors<T> {
 /// Life cycle: the first assembly runs in *collection* mode (stamps record
 /// structure only); [`SparseRealSystem::finalize`] then performs the
 /// symbolic analysis **and** converts the recorded stamp sequence into a
-/// slot replay list — the assembler emits stamps in a deterministic,
+/// replay list — the assembler emits stamps in a deterministic,
 /// pattern-stable order, so every later assembly is a straight cursor
-/// walk (`vals[slot_seq[cursor++]] += v`) with no index lookups at all.
+/// walk (`vals[slot] += v`) with no index lookups at all.
 /// The DC/transient Newton loops keep one of these per
 /// [`crate::dc::NewtonScratch`], so a whole transient run refactorises a
 /// single symbolic pattern.
+///
+/// Pattern stability is checked in every build profile: each replayed
+/// stamp compares its packed `(row, col)` against the recorded one (one
+/// load, one compare). An assembly that deviates from — or runs past —
+/// the recorded sequence, or stops short of it, never reaches the
+/// factorisation: [`SparseRealSystem::factor`] reports it as a pivot
+/// breakdown, so the Newton loop solves that iteration with the dense
+/// kernel (counted on `sim.matrix.sparse_fallbacks`), and the stale
+/// pattern is dropped so the next assembly collects the new structure.
 #[derive(Debug, Default)]
 pub struct SparseRealSystem {
     pattern: Option<Arc<SparsePattern>>,
     collect: Vec<(usize, usize)>,
-    /// Value-slot of each stamp of one assembly, in emission order.
-    slot_seq: Vec<u32>,
-    /// Position in `slot_seq` during a value assembly.
+    /// Each stamp of one assembly, in emission order: its packed
+    /// `(row, col)` (see [`pack`]) and its value slot.
+    replay: Vec<(u64, u32)>,
+    /// Position in `replay` during a value assembly.
     cursor: usize,
+    /// Set when a value assembly deviated from `replay`; cleared when
+    /// [`SparseRealSystem::factor`] drops the pattern.
+    deviated: bool,
     n: usize,
     vals: Vec<f64>,
     factors: SparseFactors<f64>,
+}
+
+/// One stamp coordinate as a single comparable word.
+#[inline]
+fn pack(i: usize, j: usize) -> u64 {
+    ((i as u64) << 32) | j as u64
 }
 
 impl SparseRealSystem {
@@ -558,28 +577,43 @@ impl SparseRealSystem {
         // The collection pass recorded every stamp in emission order;
         // resolve each to its value slot once, here, so value assemblies
         // never search.
-        self.slot_seq = self
+        self.replay = self
             .collect
             .iter()
-            .map(|&(i, j)| p.slot(i, j).expect("collected entry is in the pattern") as u32)
+            .map(|&(i, j)| {
+                let slot = p.slot(i, j).expect("collected entry is in the pattern");
+                (pack(i, j), slot as u32)
+            })
             .collect();
         self.pattern = Some(Arc::new(p));
         self.collect = Vec::new();
+    }
+
+    /// Forget the cached pattern: the next assembly is a fresh
+    /// collection pass.
+    fn drop_pattern(&mut self) {
+        self.pattern = None;
+        self.replay.clear();
+        self.vals.clear();
+        self.cursor = 0;
+        self.deviated = false;
+        self.collect.clear();
     }
 
     /// Numeric refactorisation of the last-stamped values.
     ///
     /// # Errors
     ///
-    /// Returns [`SingularMatrix`] on pivot breakdown; see
-    /// [`SparsePattern::factor`].
+    /// Returns [`SingularMatrix`] on pivot breakdown (see
+    /// [`SparsePattern::factor`]), and — with `column: usize::MAX` — when
+    /// the last assembly was not pattern-stable: it deviated from the
+    /// recorded stamp sequence or emitted a different stamp count. The
+    /// pattern is then dropped, so the next assembly re-collects it.
     pub fn factor(&mut self) -> Result<(), SingularMatrix> {
-        assert_eq!(
-            self.cursor,
-            self.slot_seq.len(),
-            "assembly emitted a different stamp count than the collection \
-             pass — assembly is not pattern-stable"
-        );
+        if self.deviated || self.cursor != self.replay.len() {
+            self.drop_pattern();
+            return Err(SingularMatrix { column: usize::MAX });
+        }
         let p = self.pattern.as_ref().expect("pattern not finalized");
         p.factor(&self.vals, &mut self.factors)
     }
@@ -607,33 +641,24 @@ impl MatrixStamp for SparseRealSystem {
                 // caller reuses this system across circuits (a [`crate::dc::
                 // DcSession`] moved on): drop the stale pattern and start a
                 // fresh collection pass instead of poisoning the restamp.
-                self.pattern = None;
-                self.slot_seq.clear();
-                self.vals.clear();
-                self.cursor = 0;
+                self.drop_pattern();
                 self.n = n;
-                self.collect.clear();
             }
         }
     }
     fn stamp(&mut self, i: usize, j: usize, v: f64) {
-        match &self.pattern {
-            None => self.collect.push((i, j)),
-            Some(p) => {
-                // Hot path: replay the recorded slot. The debug check
-                // verifies the emission order really is reproducible; in
-                // release a grown stamp count still trips the bounds
-                // check or the count assertion in `factor`.
-                debug_assert!(
-                    self.cursor < self.slot_seq.len()
-                        && p.slot(i, j) == Some(self.slot_seq[self.cursor] as usize),
-                    "stamp at ({i}, {j}) deviates from the collected sequence — \
-                     assembly is not pattern-stable"
-                );
-                self.vals[self.slot_seq[self.cursor] as usize] += v;
-                self.cursor += 1;
-            }
+        if self.pattern.is_none() {
+            self.collect.push((i, j));
+            return;
         }
+        // Hot path: replay the recorded slot after checking the stamp is
+        // the recorded one. A deviation or an overrun poisons this
+        // assembly; `factor` turns it into a dense fallback.
+        match self.replay.get(self.cursor) {
+            Some(&(ij, slot)) if ij == pack(i, j) => self.vals[slot as usize] += v,
+            _ => self.deviated = true,
+        }
+        self.cursor += 1;
     }
 }
 
@@ -922,26 +947,41 @@ mod tests {
 
     #[test]
     fn refactor_with_new_values_reuses_pattern() {
+        // Asserts on the system under test, not on the process-global
+        // `sim.matrix.symbolic_analyses` counter, which sibling tests bump
+        // concurrently.
         let n = 12;
-        let (entries, dense1) = ring_system(n, 5);
+        let (mut entries, dense1) = ring_system(n, 5);
         let (_, dense2) = ring_system(n, 6);
-        let before = SYMBOLIC_ANALYSES.get();
-        let p = SparsePattern::build(n, n, &entries);
-        assert_eq!(SYMBOLIC_ANALYSES.get(), before + 1);
-        let mut f = SparseFactors::new();
+        entries.sort_unstable();
+        entries.dedup();
+        let mut sys = SparseRealSystem::default();
+        sys.reset(n);
+        for &(i, j) in &entries {
+            sys.stamp(i, j, 0.0);
+        }
+        sys.finalize(n);
+        let pattern = Arc::clone(sys.pattern.as_ref().unwrap());
+        let mut l_storage = None;
         for dense in [&dense1, &dense2] {
-            let vals = vals_from_dense(&p, dense);
-            p.factor(&vals, &mut f).unwrap();
+            sys.reset(n);
+            for &(i, j) in &entries {
+                sys.stamp(i, j, dense.get(i, j));
+            }
+            sys.factor().unwrap();
             let b = vec![1.0; n];
             let mut x = Vec::new();
-            p.solve_into(&mut f, &b, &mut x);
+            sys.solve_into(&b, &mut x);
             let xd = dense.clone().lu().unwrap().solve(&b);
             for (a, d) in x.iter().zip(&xd) {
                 assert!((a - d).abs() <= 1e-12 * d.abs().max(1.0));
             }
+            // Numeric-only refactorisation: the one symbolic pattern, and
+            // the factor storage it sized, serve both value sets.
+            assert!(Arc::ptr_eq(sys.pattern.as_ref().unwrap(), &pattern));
+            let l = sys.factors.l.as_ptr();
+            assert_eq!(*l_storage.get_or_insert(l), l);
         }
-        // Only the one symbolic analysis, two numeric refactors.
-        assert_eq!(SYMBOLIC_ANALYSES.get(), before + 1);
     }
 
     #[test]
@@ -1094,14 +1134,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not pattern-stable")]
-    fn pattern_violation_panics() {
+    fn pattern_violation_is_detected_and_recovers() {
+        let collected = [(0, 0), (1, 1)];
+        let prime = |sys: &mut SparseRealSystem| {
+            sys.reset(2);
+            for (i, j) in collected {
+                sys.stamp(i, j, 0.0);
+            }
+            sys.finalize(2);
+        };
+        // Same stamp count, different entry; a stamp past the recorded
+        // sequence; a stamp short of it. Each is detected at `factor` (in
+        // every build profile) and drops the pattern.
+        let deviations: [&[(usize, usize)]; 3] =
+            [&[(0, 0), (0, 1)], &[(0, 0), (1, 1), (0, 1)], &[(0, 0)]];
         let mut sys = SparseRealSystem::default();
+        for stamps in deviations {
+            prime(&mut sys);
+            sys.reset(2);
+            for &(i, j) in stamps {
+                sys.stamp(i, j, 1.0);
+            }
+            assert!(sys.factor().is_err(), "{stamps:?} must not factor");
+            assert!(sys.needs_pattern(), "{stamps:?} must drop the pattern");
+        }
+        // Recovery: the next assembly collects the new structure, and the
+        // sparse solve matches the dense kernel.
+        let stamps = [(0, 0, 2.0), (1, 1, 4.0), (0, 1, 1.0)];
         sys.reset(2);
-        sys.stamp(0, 0, 0.0);
-        sys.stamp(1, 1, 0.0);
+        for (i, j, _) in stamps {
+            sys.stamp(i, j, 0.0);
+        }
         sys.finalize(2);
         sys.reset(2);
-        sys.stamp(0, 1, 1.0); // not in the collected structure
+        let mut dense = Matrix::zeros(2);
+        for (i, j, v) in stamps {
+            sys.stamp(i, j, v);
+            dense.add(i, j, v);
+        }
+        sys.factor().unwrap();
+        let b = [3.0, 8.0];
+        let mut x = Vec::new();
+        sys.solve_into(&b, &mut x);
+        let xd = dense.lu().unwrap().solve(&b);
+        for (a, d) in x.iter().zip(&xd) {
+            assert!((a - d).abs() <= 1e-15 * d.abs().max(1.0), "{a} vs {d}");
+        }
     }
 }

@@ -17,7 +17,7 @@ use losac_sim::interrupt::Interrupted;
 use losac_sim::linear::Linearized;
 use losac_sim::meas::{bode_summary_of, db};
 use losac_sim::netlist::Circuit;
-use losac_sim::noise::{integrate_psd, noise_analysis, noise_analysis_on};
+use losac_sim::noise::{integrate_psd, noise_analysis_on};
 use losac_sim::tran::{transient, TranError, TranOptions};
 use losac_tech::pvt::NOMINAL_TEMP_C;
 use losac_tech::{Corner, Scenario, Technology};
@@ -58,61 +58,11 @@ pub enum InputDrive {
     },
 }
 
-/// An amplifier that the measurement pipeline can characterise.
-///
-/// All provided topologies implement this; new topologies get the whole
-/// Table-1 measurement suite by implementing these three methods. The
-/// `Sync` bound lets the evaluator run the slew-rate transient
-/// concurrently with the small-signal pipeline (both only read the
-/// amplifier); every implementor is plain sized-device data.
-pub trait Amplifier: Sync {
-    /// The specification the amplifier was sized for.
-    fn specs(&self) -> &OtaSpecs;
-    /// Build the amplifier netlist in the requested testbench, with
-    /// parasitics per `mode`. Sources must be named `vinp`/`vinn`, the
-    /// supply `vdd`, and the output node `out`.
-    fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit;
-    /// Rough slew-rate estimate (V/s), used only to choose the transient
-    /// time scale.
-    fn slew_estimate(&self) -> f64;
-    /// Mix every field that influences [`Amplifier::netlist`] and
-    /// [`Amplifier::slew_estimate`] — geometries, bias points, passives
-    /// and specs — into `h`, and return `true` to opt into [`EvalCache`]
-    /// keying. The hasher records the exact byte stream alongside the
-    /// hash, so the cache verifies the full key on lookup and a 64-bit
-    /// hash collision can never alias two designs.
-    ///
-    /// The default (write nothing, return `false`) opts the topology out
-    /// of caching entirely, so an implementor that forgets to cover a
-    /// field can only ever be slower, never wrong *if* it hashes
-    /// everything it exposes to the netlist. [`FnvHasher`] keeps float
-    /// quantisation uniform across the whole key.
-    fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
-        let _ = h;
-        false
-    }
-    /// Topology discriminant prefixed to every cache key *before*
-    /// [`Amplifier::write_fingerprint`] runs, written through the same
-    /// [`FnvHasher`] so byte-level verification covers it. Two topologies
-    /// that happen to emit identical fingerprint byte streams can
-    /// therefore never alias in a shared [`EvalCache`] as long as their
-    /// discriminants differ. Implementors that opt into caching must
-    /// return a string unique to the topology (its stable name); the
-    /// empty default is only safe for topologies that never cache.
-    fn fingerprint_discriminant(&self) -> &str {
-        ""
-    }
-    /// Hash of the amplifier part of the cache key, or `None` when the
-    /// topology opts out. Derived from
-    /// [`Amplifier::fingerprint_discriminant`] +
-    /// [`Amplifier::write_fingerprint`]; implement those methods, not
-    /// this one, so byte-level verification keeps working.
-    fn cache_fingerprint(&self) -> Option<u64> {
-        let mut h = FnvHasher::new();
-        h.write_str(self.fingerprint_discriminant());
-        self.write_fingerprint(&mut h).then(|| h.finish())
-    }
-}
+/// The amplifier interface the measurement pipeline characterises is
+/// [`Topology`]. This alias keeps the historical name importable: the
+/// benchmark package (`perfbench/`) imports `losac_sizing::eval::Amplifier`.
+pub use crate::topology::Topology as Amplifier;
+use crate::topology::Topology;
 
 /// Everything the paper's Table 1 reports for one sizing case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -297,12 +247,6 @@ pub struct EvalOptions {
     /// measurements. `1` is fully serial, `0` means
     /// [`std::thread::available_parallelism`].
     pub threads: usize,
-    /// Linearise the balanced circuit once and re-use it across the
-    /// differential, common-mode and noise analyses (restamping only the
-    /// excitation), instead of rebuilding `G`/`C` per analysis. Also
-    /// collapses the single-frequency CMRR and output-resistance probes
-    /// to one solve each.
-    pub reuse_linearisation: bool,
     /// Memoise whole evaluations keyed by (amplifier fingerprint,
     /// technology, parasitic mode). `None` (the default) disables
     /// caching; the engine's batch runner shares one cache across a job.
@@ -338,7 +282,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         Self {
             threads: 1,
-            reuse_linearisation: true,
             cache: None,
             solver: None,
             deriv: None,
@@ -354,13 +297,6 @@ impl EvalOptions {
     /// non-breaking.
     pub fn builder() -> EvalOptionsBuilder {
         EvalOptionsBuilder::default()
-    }
-
-    /// Options matching the historical evaluator exactly: serial, no
-    /// linearisation reuse, no cache. The reference arm of the
-    /// equivalence gates.
-    pub fn legacy() -> Self {
-        Self::builder().with_reuse_linearisation(false).build()
     }
 
     /// Same options with an explicit thread count.
@@ -426,13 +362,6 @@ impl EvalOptionsBuilder {
     /// Worker threads (see [`EvalOptions::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.opts.threads = threads;
-        self
-    }
-
-    /// Toggle linearisation reuse (see
-    /// [`EvalOptions::reuse_linearisation`]).
-    pub fn with_reuse_linearisation(mut self, reuse: bool) -> Self {
-        self.opts.reuse_linearisation = reuse;
         self
     }
 
@@ -607,9 +536,9 @@ impl EvalCache {
 ///
 /// Floats are quantised before hashing so that values differing only in
 /// the last few mantissa bits (float noise from a different summation
-/// order upstream) land on the same key. Amplifier implementations use
-/// this in [`Amplifier::write_fingerprint`] so quantisation is uniform
-/// across the whole key.
+/// order upstream) land on the same key. Topologies use this in
+/// [`Topology::write_fingerprint`] so quantisation is uniform across the
+/// whole key.
 ///
 /// Besides the rolling 64-bit hash, the hasher records every mixed byte;
 /// the cache stores that byte stream with each entry and verifies it on
@@ -709,13 +638,13 @@ pub fn hash_common_fingerprint(
 /// Cache key for one evaluation, or `None` when the amplifier does not
 /// fingerprint itself.
 fn eval_key(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
     scenario: &Scenario,
 ) -> Option<EvalKey> {
     let mut h = FnvHasher::new();
-    h.write_str(ota.fingerprint_discriminant());
+    h.write_str(ota.topology_name());
     if !ota.write_fingerprint(&mut h) {
         return None;
     }
@@ -792,7 +721,7 @@ impl<'a> ScenarioEnv<'a> {
     /// apply the mismatch draw. Every patch is skipped at its nominal
     /// value, so the nominal scenario returns the exact circuit the
     /// plain `ota.netlist` call produces.
-    fn netlist(&self, ota: &dyn Amplifier, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
+    fn netlist(&self, ota: &dyn Topology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
         let mut c = ota.netlist(&self.tech, mode, drive);
         let pvt = &self.scenario.pvt;
         if pvt.temp_c != NOMINAL_TEMP_C {
@@ -819,7 +748,7 @@ impl<'a> ScenarioEnv<'a> {
     /// The supply rail voltage under this scenario (V). `vdd_scale` is
     /// exactly `1.0` at nominal, and `x * 1.0` is bit-exact for finite
     /// `x`, so nominal power numbers are unchanged.
-    fn vdd(&self, ota: &dyn Amplifier) -> f64 {
+    fn vdd(&self, ota: &dyn Topology) -> f64 {
         ota.specs().vdd * self.scenario.pvt.vdd_scale
     }
 }
@@ -885,7 +814,7 @@ fn hash_mode(h: &mut FnvHasher, mode: &ParasiticMode) {
 /// Fails when DC analysis fails or the output cannot be centred within
 /// ±50 mV of differential input (broken amplifier).
 pub fn balance(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> Result<(f64, Circuit, DcSolution), EvalError> {
@@ -899,7 +828,7 @@ pub fn balance(
 /// corner fail to centre (a real, reportable failure).
 fn balance_env(
     env: &ScenarioEnv<'_>,
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     mode: &ParasiticMode,
 ) -> Result<(f64, Circuit, DcSolution), EvalError> {
     let target = ota.specs().output_mid();
@@ -957,14 +886,13 @@ fn balance_env(
 }
 
 /// Measure the full Table-1 performance of a sized OTA under the given
-/// parasitic mode, with default [`EvalOptions`]: serial, linearisation
-/// reuse on, no cache.
+/// parasitic mode, with default [`EvalOptions`]: serial, no cache.
 ///
 /// # Errors
 ///
 /// Propagates any analysis failure with context.
 pub fn evaluate(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> Result<Performance, EvalError> {
@@ -979,7 +907,7 @@ pub fn evaluate(
 ///
 /// Propagates any analysis failure with context.
 pub fn evaluate_with(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
     opts: &EvalOptions,
@@ -1037,7 +965,7 @@ pub fn evaluate_with(
 /// arithmetic on both lanes, therefore bitwise-identical results.
 /// Serially, it runs after them, exactly like the historical pipeline.
 fn evaluate_uncached(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
     opts: &EvalOptions,
@@ -1080,20 +1008,19 @@ fn evaluate_uncached(
 /// phase margin, CMRR, output resistance and noise. Returns a
 /// [`Performance`] with `slew_rate` set to NaN for the caller to fill.
 ///
-/// With `opts.reuse_linearisation` the balanced circuit is linearised
-/// once; the differential sweep runs on it directly, and the common-mode
-/// and noise analyses restamp only the excitation vector — the `G`/`C`
-/// stamps depend on the operating point, not the source values, so the
-/// restamped system is the one `Linearized::build` would produce and
-/// every downstream number is bitwise unchanged. The CMRR and output-
-/// resistance probes additionally collapse to single-frequency solves:
-/// both legacy sweeps only ever read index `[0]`, and a sweep's first
-/// point is exactly `fstart` (`10^(0/ppd) = 1`), so one solve at
-/// `fstart` reproduces that entry bit for bit while skipping the
-/// factorisations of the remaining grid points.
+/// The balanced circuit is linearised once; the differential sweep runs
+/// on it directly, and the common-mode and noise analyses restamp only
+/// the excitation vector — the `G`/`C` stamps depend on the operating
+/// point, not the source values, so the restamped system is the one a
+/// fresh `Linearized::build` would produce and every downstream number
+/// is bitwise unchanged. The CMRR and output-resistance probes are
+/// single-frequency solves at the first point of the sweeps they stand
+/// for (`10^(0/ppd) = 1`, so a sweep's first point is exactly
+/// `fstart`). The `sim_equivalence` suite recomputes the fresh-sweep
+/// pipeline as a test oracle and gates every field on it bit for bit.
 fn small_signal(
     env: &ScenarioEnv<'_>,
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     mode: &ParasiticMode,
     opts: &EvalOptions,
 ) -> Result<Performance, EvalError> {
@@ -1102,6 +1029,7 @@ fn small_signal(
     let (dv, mut c, dc) = balance_env(env, ota, mode)?;
     let offset = dv;
     let power = dc.supply_current(&c, "vdd") * env.vdd(ota);
+    let out = c.find_node("out").expect("out node");
 
     // --- differential AC: gain, GBW, phase margin --------------------------
     c.set_source_ac("vinp", 0.5).expect("vinp");
@@ -1112,12 +1040,8 @@ fn small_signal(
         points_per_decade: 24,
         threads,
     };
-    let mut lin = opts.reuse_linearisation.then(|| Linearized::build(&c, &dc));
-    let ac = match &lin {
-        Some(lin) => ac_sweep_on(lin, &ac_opts),
-        None => ac_sweep(&c, &dc, &ac_opts),
-    }
-    .map_err(|e| EvalError::new(e.to_string()))?;
+    let mut lin = Linearized::build(&c, &dc);
+    let ac = ac_sweep_on(&lin, &ac_opts).map_err(|e| EvalError::new(e.to_string()))?;
     let summary = bode_summary_of(&ac.freqs, ac.trace(&c, "out").iter());
     let gbw = summary
         .unity_freq
@@ -1130,68 +1054,27 @@ fn small_signal(
     // --- common-mode AC: CMRR ----------------------------------------------
     c.set_source_ac("vinp", 1.0).expect("vinp");
     c.set_source_ac("vinn", 1.0).expect("vinn");
-    let acm0 = match &mut lin {
-        Some(lin) => {
-            lin.restamp_excitation(&c);
-            let row = ac_point_on(lin, 10.0).map_err(|e| EvalError::new(e.to_string()))?;
-            let out = c.find_node("out").expect("out node");
-            row[out].abs()
-        }
-        None => {
-            let ac_cm = ac_sweep(
-                &c,
-                &dc,
-                &AcOptions {
-                    fstart: 10.0,
-                    fstop: 1e3,
-                    points_per_decade: 4,
-                    threads,
-                },
-            )
-            .map_err(|e| EvalError::new(e.to_string()))?;
-            ac_cm.magnitude(&c, "out")[0]
-        }
-    }
-    .max(1e-12);
+    lin.restamp_excitation(&c);
+    let acm0 = ac_point_on(&lin, 10.0).map_err(|e| EvalError::new(e.to_string()))?[out]
+        .abs()
+        .max(1e-12);
     let cmrr_db = db(adm0 / acm0);
 
     // --- output resistance ---------------------------------------------------
     let mut c_rout = env.netlist(ota, mode, InputDrive::Differential { dv });
     c_rout.isource_ac("itest", "0", "out", 0.0, 1.0);
     let dc_rout = dc_operating_point(&c_rout, &DcOptions::default())?;
-    let output_resistance = if opts.reuse_linearisation {
-        let lin_rout = Linearized::build(&c_rout, &dc_rout);
-        let row = ac_point_on(&lin_rout, 1.0).map_err(|e| EvalError::new(e.to_string()))?;
-        let out = c_rout.find_node("out").expect("out node");
-        row[out].abs()
-    } else {
-        let ac_rout = ac_sweep(
-            &c_rout,
-            &dc_rout,
-            &AcOptions {
-                fstart: 1.0,
-                fstop: 10.0,
-                points_per_decade: 2,
-                threads,
-            },
-        )
-        .map_err(|e| EvalError::new(e.to_string()))?;
-        ac_rout.magnitude(&c_rout, "out")[0]
-    };
+    let lin_rout = Linearized::build(&c_rout, &dc_rout);
+    let row = ac_point_on(&lin_rout, 1.0).map_err(|e| EvalError::new(e.to_string()))?;
+    let output_resistance = row[c_rout.find_node("out").expect("out node")].abs();
 
     // --- noise ----------------------------------------------------------------
     c.set_source_ac("vinp", 0.5).expect("vinp");
     c.set_source_ac("vinn", -0.5).expect("vinn");
+    lin.restamp_excitation(&c);
     let freqs = log_grid(1.0, gbw.max(1e6), 12);
-    let noise = match &mut lin {
-        Some(lin) => {
-            lin.restamp_excitation(&c);
-            let out = c.find_node("out").expect("out node");
-            noise_analysis_on(lin, &freqs, out, threads)
-        }
-        None => noise_analysis(&c, &dc, &freqs, "out"),
-    }
-    .map_err(|e| EvalError::new(e.to_string()))?;
+    let noise =
+        noise_analysis_on(&lin, &freqs, out, threads).map_err(|e| EvalError::new(e.to_string()))?;
     let input_noise_rms = integrate_psd(&noise.freqs, &noise.input_psd).sqrt();
     let thermal_noise_density = noise.input_density_at(gbw / 50.0);
     let flicker_noise_density = noise.input_density_at(1.0);
@@ -1219,7 +1102,7 @@ fn small_signal(
 ///
 /// Propagates analysis failures.
 pub fn measure_psrr(
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     tech: &Technology,
     mode: &ParasiticMode,
 ) -> Result<f64, EvalError> {
@@ -1251,7 +1134,7 @@ pub fn measure_psrr(
 /// scenario.
 fn measure_slew_rate_env(
     env: &ScenarioEnv<'_>,
-    ota: &dyn Amplifier,
+    ota: &dyn Topology,
     mode: &ParasiticMode,
 ) -> Result<f64, EvalError> {
     let mid = ota.specs().output_mid();
@@ -1407,12 +1290,16 @@ mod tests {
 
     #[test]
     fn topologies_with_identical_fingerprints_do_not_alias() {
-        // Regression: before the discriminant prefix, two different
+        // Regression: before the topology-name prefix, two different
         // topologies emitting identical `write_fingerprint` byte streams
         // keyed identically in a shared cache — the second topology was
         // served the first one's numbers.
+        #[derive(Debug)]
         struct Twin(&'static str);
-        impl Amplifier for Twin {
+        impl Topology for Twin {
+            fn topology_name(&self) -> &'static str {
+                self.0
+            }
             fn specs(&self) -> &OtaSpecs {
                 unreachable!("key construction never reads specs")
             }
@@ -1433,8 +1320,19 @@ mod tests {
                 h.write_f64(1.25);
                 true
             }
-            fn fingerprint_discriminant(&self) -> &str {
-                self.0
+            fn devices(&self) -> &HashMap<String, crate::ota::folded_cascode::SizedDevice> {
+                unreachable!("key construction never reads devices")
+            }
+            fn devices_mut(
+                &mut self,
+            ) -> &mut HashMap<String, crate::ota::folded_cascode::SizedDevice> {
+                unreachable!("key construction never reads devices")
+            }
+            fn layout_spec(&self) -> crate::topology::TopologyLayoutSpec {
+                unreachable!("key construction never plans a layout")
+            }
+            fn supply_current_estimate(&self) -> f64 {
+                unreachable!("key construction never estimates supply current")
             }
         }
 
@@ -1444,7 +1342,7 @@ mod tests {
         let key_b = eval_key(&Twin("topology_b"), &tech, &ParasiticMode::None, &nom).unwrap();
         assert_ne!(
             key_a.bytes, key_b.bytes,
-            "the discriminant must separate the byte streams"
+            "the topology name must separate the byte streams"
         );
         let cache = EvalCache::new();
         cache.store(&key_a, sample_perf(0.0));
@@ -1454,11 +1352,6 @@ mod tests {
             "a different topology with an identical fingerprint must miss"
         );
         assert_eq!(cache.lookup(&key_a), Some(sample_perf(0.0)));
-        // The derived fingerprint hash separates them too.
-        assert_ne!(
-            Twin("topology_a").cache_fingerprint(),
-            Twin("topology_b").cache_fingerprint()
-        );
     }
 
     #[test]
@@ -1517,12 +1410,81 @@ mod tests {
         let (tech, ota) = setup();
         let key = eval_key(&ota, &tech, &ParasiticMode::None, &Scenario::nominal()).unwrap();
         let mut h = FnvHasher::new();
-        h.write_str(ota.fingerprint_discriminant());
+        h.write_str(ota.topology_name());
         assert!(ota.write_fingerprint(&mut h));
         hash_technology(&mut h, &tech);
         hash_mode(&mut h, &ParasiticMode::None);
         let legacy = h.into_key();
         assert_eq!(key, legacy, "nominal scenario must be key-invisible");
+    }
+
+    /// A fixed layout feedback over `topo`'s devices: every field
+    /// `hash_mode` reads is populated, so the `Full` key covers it all.
+    fn pinned_full_mode(topo: &dyn crate::topology::Topology) -> ParasiticMode {
+        use crate::feedback::{DeviceFeedback, DiffGeom, LayoutFeedback};
+        let mut names: Vec<_> = topo.devices().keys().cloned().collect();
+        names.sort();
+        let mut fb = LayoutFeedback::default();
+        for (k, name) in names.into_iter().enumerate() {
+            let k = k as f64;
+            fb.devices.insert(
+                name,
+                DeviceFeedback {
+                    folds: 2,
+                    drawn_w: 10_000 + 200 * k as i64,
+                    drain: DiffGeom {
+                        area: (1.0 + k) * 1e-12,
+                        perimeter: (4.0 + k) * 1e-6,
+                    },
+                    source: DiffGeom {
+                        area: (2.0 + k) * 1e-12,
+                        perimeter: (6.0 + k) * 1e-6,
+                    },
+                },
+            );
+        }
+        fb.net_caps.insert("out".into(), 12e-15);
+        fb.net_caps.insert("tail".into(), 7e-15);
+        fb.coupling.insert(("out".into(), "tail".into()), 1.5e-15);
+        fb.well_caps.insert("vdd".into(), 40e-15);
+        ParasiticMode::Full(fb)
+    }
+
+    #[test]
+    fn builtin_topology_cache_keys_are_pinned() {
+        // Persisted LSEC v1 entries and warm daemon caches hit only while
+        // the key byte stream of an unchanged design is unchanged. Pin it
+        // (FNV hash and length of the bytes) for every built-in topology
+        // at the nominal scenario, with and without layout feedback.
+        let tech = Technology::cmos06();
+        let registry = crate::topology::TopologyRegistry::builtin();
+        let expected: [(&str, [(u64, usize); 2]); 3] = [
+            (
+                "folded_cascode",
+                [(0xe70db76ffcd28b08, 2352), (0xd477a6db8ce8289c, 3105)],
+            ),
+            (
+                "telescopic",
+                [(0x11e670912557f05c, 2246), (0xdd8d400103b6ab3d, 2881)],
+            ),
+            (
+                "two_stage",
+                [(0xb0d1d671ba567143, 2179), (0x860ffe58e5515efd, 2692)],
+            ),
+        ];
+        let got = expected.map(|(name, _)| {
+            let plan = registry.get(name).unwrap();
+            let topo = plan
+                .size_topology(&tech, &plan.example_specs(), &ParasiticMode::None)
+                .unwrap();
+            let modes = [ParasiticMode::None, pinned_full_mode(topo.as_ref())];
+            let pins = modes.map(|mode| {
+                let key = eval_key(topo.as_ref(), &tech, &mode, &Scenario::nominal()).unwrap();
+                (key.hash, key.bytes.len())
+            });
+            (name, pins)
+        });
+        assert_eq!(got, expected, "built-in cache key bytes changed");
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub mod techeval;
 pub mod topology;
 
 pub use eval::{
-    evaluate_with, measure_psrr, Amplifier, EvalCache, EvalError, EvalOptions, EvalOptionsBuilder,
-    InputDrive, Performance,
+    evaluate_with, measure_psrr, EvalCache, EvalError, EvalOptions, EvalOptionsBuilder, InputDrive,
+    Performance,
 };
 pub use feedback::{DeviceFeedback, DiffGeom, LayoutFeedback, ParasiticMode};
 pub use losac_tech::{MismatchDraw, Pvt, Scenario};
@@ -56,9 +56,7 @@ pub use ota::telescopic::telescopic_example_specs;
 pub use ota::telescopic::{TelescopicOta, TelescopicPlan};
 pub use ota::two_stage::{TwoStageOta, TwoStagePlan};
 pub use specs::OtaSpecs;
-pub use statistical::{
-    offset_monte_carlo, offset_monte_carlo_topology, MatchingStyle, OffsetStatistics,
-};
+pub use statistical::{offset_monte_carlo, MatchingStyle, OffsetStatistics};
 pub use techeval::{summarize, TechSummary};
 pub use topology::{
     GroupDevice, LayoutModule, MatchedGroup, SingleDevice, Topology, TopologyLayoutSpec,

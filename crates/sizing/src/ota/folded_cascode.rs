@@ -24,7 +24,7 @@
 //! the phase margin is met; every evaluation uses the same EKV model the
 //! simulator uses.
 
-use crate::eval::{Amplifier, InputDrive};
+use crate::eval::{FnvHasher, InputDrive};
 use crate::feedback::{DiffGeom, ParasiticMode};
 use crate::specs::OtaSpecs;
 use crate::topology::{
@@ -621,139 +621,93 @@ pub(crate) fn diffusion_geometry(
     }
 }
 
-impl FoldedCascodeOta {
-    /// Drawn width of a device (m): the layout feedback's grid-snapped
-    /// width when it corresponds to *this* sizing (within 5 %), the
-    /// synthesised width otherwise. Feedback carried over from a previous
-    /// sizing iteration describes the old geometry and must not override
-    /// freshly computed widths — only the final snap of the same widths.
-    pub fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        let w = self.devices[name].w;
-        if let Some(fb) = mode.feedback() {
-            if let Some(d) = fb.device(name) {
-                let drawn = d.drawn_w as f64 * 1e-9;
-                if (drawn - w).abs() <= 0.05 * w {
-                    return drawn;
-                }
-            }
+/// Add the testbench's input sources for `drive` (after the supply and
+/// bias sources) and return the node the inverting input device's gate
+/// connects to: `vinn` for a differential drive, `out` for the
+/// unity-gain buffer.
+pub(crate) fn add_input_drive(
+    c: &mut Circuit,
+    specs: &OtaSpecs,
+    drive: InputDrive,
+) -> &'static str {
+    let cm = specs.input_cm_bias();
+    match drive {
+        InputDrive::Differential { dv } => {
+            c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
+            c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
+            "vinn"
         }
-        w
-    }
-
-    /// Total quiescent current estimate (A): tail plus both mirror
-    /// branches.
-    pub fn supply_current_estimate(&self) -> f64 {
-        self.currents.i_tail + 2.0 * self.currents.i_casc
-    }
-
-    /// Build the amplifier netlist with the given input drive.
-    ///
-    /// `inputs` controls the testbench around the core:
-    /// * [`InputDrive::Differential`] — DC sources on both gates (AC set
-    ///   separately by the measurement),
-    /// * [`InputDrive::UnityBuffer`] — vinn wired to the output, a step on
-    ///   vinp (slew-rate bench).
-    pub fn netlist(&self, tech: &Technology, mode: &ParasiticMode, inputs: InputDrive) -> Circuit {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "vdd", "0", self.specs.vdd);
-        c.vsource("vbp1", "vp1", "0", self.bias.vp1);
-        c.vsource("vbn0", "vbn", "0", self.bias.vbn);
-        c.vsource("vbc1", "vc1", "0", self.bias.vc1);
-        c.vsource("vbc3", "vc3", "0", self.bias.vc3);
-
-        let cm = self.specs.input_cm_bias();
-        let vinn_node = match inputs {
-            InputDrive::Differential { dv } => {
-                c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
-                c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
-                "vinn"
-            }
-            InputDrive::UnityBuffer {
+        InputDrive::UnityBuffer {
+            step_from,
+            step_to,
+            at,
+            rise,
+        } => {
+            c.vsource_tran(
+                "vinp",
+                "vinp",
+                "0",
                 step_from,
-                step_to,
-                at,
-                rise,
-            } => {
-                c.vsource_tran(
-                    "vinp",
-                    "vinp",
-                    "0",
-                    step_from,
-                    Waveform::Step {
-                        level: step_to,
-                        at,
-                        rise,
-                    },
-                );
-                "out"
-            }
-        };
-
-        let mut mos = |name: &str, d: &str, g: &str, s: &str, b: &str| {
-            let dev = &self.devices[name];
-            let params = tech.mos(dev.polarity);
-            let w = self.drawn_w(mode, name);
-            let m = Mosfet::new(*params, w, dev.l);
-            let junction = match dev.polarity {
-                Polarity::Nmos => tech.caps.ndiff,
-                Polarity::Pmos => tech.caps.pdiff,
-            };
-            let dg = diffusion_geometry(tech, mode, name, &m, true);
-            let sg = diffusion_geometry(tech, mode, name, &m, false);
-            c.mos(
-                name,
-                d,
-                g,
-                s,
-                b,
-                m,
-                junction,
-                SimDiffGeom {
-                    area: dg.area,
-                    perimeter: dg.perimeter,
-                },
-                SimDiffGeom {
-                    area: sg.area,
-                    perimeter: sg.perimeter,
+                Waveform::Step {
+                    level: step_to,
+                    at,
+                    rise,
                 },
             );
-        };
-
-        mos("mptail", "tail", "vp1", "vdd", "vdd");
-        mos("mp1", "f1", "vinp", "tail", "vdd");
-        mos("mp2", "f2", vinn_node, "tail", "vdd");
-        mos("mn5", "f1", "vbn", "0", "0");
-        mos("mn6", "f2", "vbn", "0", "0");
-        mos("mn1c", "m", "vc1", "f1", "0");
-        mos("mn2c", "out", "vc1", "f2", "0");
-        mos("mp3", "a", "m", "vdd", "vdd");
-        mos("mp3c", "m", "vc3", "a", "vdd");
-        mos("mp4", "b", "m", "vdd", "vdd");
-        mos("mp4c", "out", "vc3", "b", "vdd");
-
-        c.capacitor("cload", "out", "0", self.specs.c_load);
-
-        // Routing, coupling and well parasitics (case 4 only).
-        add_routing_caps(&mut c, mode, is_internal_net);
-
-        c
+            "out"
+        }
     }
 }
 
-/// Attach the mode's routing, coupling and well parasitics (case 4 only)
-/// to the netlist as lumped capacitors, restricted to nets `is_internal`
-/// accepts — parasitics on other nets (e.g. bias distribution) attach to
-/// nets the testbench drives ideally, where they would be shorted anyway.
-/// Shared by every topology's netlist builder; iteration is sorted so the
-/// element order (and thus the matrix stamp order) is deterministic.
-pub(crate) fn add_routing_caps(
+/// Add sized device `name` of `ota` to the netlist between `[d, g, s, b]`,
+/// at its drawn width and with the diffusion junctions `mode` prescribes.
+pub(crate) fn add_mos(
     c: &mut Circuit,
+    ota: &dyn Topology,
+    tech: &Technology,
     mode: &ParasiticMode,
-    is_internal: impl Fn(&str) -> bool,
+    name: &str,
+    [d, g, s, b]: [&str; 4],
 ) {
+    let dev = &ota.devices()[name];
+    let m = Mosfet::new(*tech.mos(dev.polarity), ota.drawn_w(mode, name), dev.l);
+    let junction = match dev.polarity {
+        Polarity::Nmos => tech.caps.ndiff,
+        Polarity::Pmos => tech.caps.pdiff,
+    };
+    let dg = diffusion_geometry(tech, mode, name, &m, true);
+    let sg = diffusion_geometry(tech, mode, name, &m, false);
+    c.mos(
+        name,
+        d,
+        g,
+        s,
+        b,
+        m,
+        junction,
+        SimDiffGeom {
+            area: dg.area,
+            perimeter: dg.perimeter,
+        },
+        SimDiffGeom {
+            area: sg.area,
+            perimeter: sg.perimeter,
+        },
+    );
+}
+
+/// Attach the mode's routing, coupling and well parasitics (case 4 only)
+/// to the netlist as lumped capacitors, restricted to the topology's
+/// `signal_nets` and the two inputs — parasitics on other nets (e.g.
+/// bias distribution) attach to nets the testbench drives ideally, where
+/// they would be shorted anyway. Shared by every topology's netlist
+/// builder; iteration is sorted so the element order (and thus the
+/// matrix stamp order) is deterministic.
+pub(crate) fn add_routing_caps(c: &mut Circuit, mode: &ParasiticMode, signal_nets: &[&str]) {
     if !mode.includes_routing() {
         return;
     }
+    let is_internal = |net: &str| signal_nets.contains(&net) || net == "vinp" || net == "vinn";
     let Some(fb) = mode.feedback() else { return };
     let mut k = 0usize;
     for (net, cap) in sorted(&fb.net_caps) {
@@ -790,31 +744,52 @@ fn sorted<K: Ord + Clone, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
     v
 }
 
-/// Nets of the OTA that exist in the verification netlist. Parasitic
-/// entries on other nets (e.g. bias distribution) attach to nets the
-/// testbench drives ideally, where they would be shorted anyway.
-fn is_internal_net(net: &str) -> bool {
-    SIGNAL_NETS.contains(&net) || net == "vinp" || net == "vinn"
-}
+impl Topology for FoldedCascodeOta {
+    fn topology_name(&self) -> &'static str {
+        "folded_cascode"
+    }
 
-impl Amplifier for FoldedCascodeOta {
     fn specs(&self) -> &OtaSpecs {
         &self.specs
     }
 
+    /// `drive` sets the testbench around the core:
+    /// [`InputDrive::Differential`] puts DC sources on both gates (AC set
+    /// separately by the measurement), [`InputDrive::UnityBuffer`] wires
+    /// vinn to the output and steps vinp (slew-rate bench).
     fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        FoldedCascodeOta::netlist(self, tech, mode, drive)
+        let mut c = Circuit::new();
+        c.vsource("vdd", "vdd", "0", self.specs.vdd);
+        c.vsource("vbp1", "vp1", "0", self.bias.vp1);
+        c.vsource("vbn0", "vbn", "0", self.bias.vbn);
+        c.vsource("vbc1", "vc1", "0", self.bias.vc1);
+        c.vsource("vbc3", "vc3", "0", self.bias.vc3);
+        let vinn_node = add_input_drive(&mut c, &self.specs, drive);
+
+        let mut mos = |name, pins| add_mos(&mut c, self, tech, mode, name, pins);
+        mos("mptail", ["tail", "vp1", "vdd", "vdd"]);
+        mos("mp1", ["f1", "vinp", "tail", "vdd"]);
+        mos("mp2", ["f2", vinn_node, "tail", "vdd"]);
+        mos("mn5", ["f1", "vbn", "0", "0"]);
+        mos("mn6", ["f2", "vbn", "0", "0"]);
+        mos("mn1c", ["m", "vc1", "f1", "0"]);
+        mos("mn2c", ["out", "vc1", "f2", "0"]);
+        mos("mp3", ["a", "m", "vdd", "vdd"]);
+        mos("mp3c", ["m", "vc3", "a", "vdd"]);
+        mos("mp4", ["b", "m", "vdd", "vdd"]);
+        mos("mp4c", ["out", "vc3", "b", "vdd"]);
+
+        c.capacitor("cload", "out", "0", self.specs.c_load);
+        // Routing, coupling and well parasitics (case 4 only).
+        add_routing_caps(&mut c, mode, &SIGNAL_NETS);
+        c
     }
 
     fn slew_estimate(&self) -> f64 {
         self.currents.i_tail / self.specs.c_load.max(1e-15)
     }
 
-    fn fingerprint_discriminant(&self) -> &str {
-        "folded_cascode"
-    }
-
-    fn write_fingerprint(&self, h: &mut crate::eval::FnvHasher) -> bool {
+    fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
         crate::eval::hash_common_fingerprint(h, &self.devices, &self.specs);
         for v in [
             self.bias.vp1,
@@ -829,12 +804,6 @@ impl Amplifier for FoldedCascodeOta {
             h.write_f64(v);
         }
         true
-    }
-}
-
-impl Topology for FoldedCascodeOta {
-    fn topology_name(&self) -> &'static str {
-        "folded_cascode"
     }
 
     fn devices(&self) -> &HashMap<String, SizedDevice> {
@@ -929,16 +898,9 @@ impl Topology for FoldedCascodeOta {
         }
     }
 
+    /// Tail plus both mirror branches.
     fn supply_current_estimate(&self) -> f64 {
-        FoldedCascodeOta::supply_current_estimate(self)
-    }
-
-    fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        FoldedCascodeOta::drawn_w(self, mode, name)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.currents.i_tail + 2.0 * self.currents.i_casc
     }
 }
 

@@ -25,18 +25,17 @@
 //! output-range specification than the paper's folded-cascode example.
 
 use crate::blocks::{gate_bias_for, size_device, size_diff_pair, size_mirror};
-use crate::eval::{Amplifier, InputDrive};
+use crate::eval::{FnvHasher, InputDrive};
 use crate::feedback::ParasiticMode;
 use crate::ota::folded_cascode::{
-    add_routing_caps, diffusion_geometry, parasitic_on, SizedDevice, SizingError,
+    add_input_drive, add_mos, add_routing_caps, parasitic_on, SizedDevice, SizingError,
 };
 use crate::specs::OtaSpecs;
 use crate::topology::{
     GroupDevice, LayoutModule, MatchedGroup, SingleDevice, Topology, TopologyLayoutSpec,
     TopologyPlan,
 };
-use losac_device::Mosfet;
-use losac_sim::netlist::{Circuit, DiffGeom as SimDiffGeom, Waveform};
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 
@@ -47,12 +46,6 @@ pub const DEVICE_NAMES: [&str; 9] = [
 
 /// Circuit nets of the topology (excluding the input/bias sources).
 pub const SIGNAL_NETS: [&str; 8] = ["tail", "x1", "x2", "y1", "z1", "z2", "out", "vdd"];
-
-/// Nets that exist in the verification netlist (see
-/// [`add_routing_caps`]).
-fn is_internal_net(net: &str) -> bool {
-    SIGNAL_NETS.contains(&net) || net == "vinp" || net == "vinn"
-}
 
 /// A sized telescopic-cascode OTA.
 #[derive(Debug, Clone)]
@@ -207,140 +200,54 @@ impl TelescopicPlan {
     }
 }
 
-impl TelescopicOta {
-    /// Drawn width of a device (m) — the layout feedback's grid-snapped
-    /// width when it corresponds to this sizing (see
-    /// [`Topology::drawn_w`] for the 5 % guard).
-    pub fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        Topology::drawn_w(self, mode, name)
+impl Topology for TelescopicOta {
+    fn topology_name(&self) -> &'static str {
+        "telescopic"
     }
 
-    /// Total quiescent current estimate (A): one tail current feeds both
-    /// telescopic branches — there is no separate cascode branch.
-    pub fn supply_current_estimate(&self) -> f64 {
-        self.i_tail
-    }
-
-    /// Build the amplifier netlist for the requested testbench.
-    pub fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "vdd", "0", self.specs.vdd);
-        c.vsource("vbp1", "vp1", "0", self.vp1);
-        c.vsource("vbcp", "vcp", "0", self.vcp);
-        c.vsource("vbcn", "vcn", "0", self.vcn);
-
-        let cm = self.specs.input_cm_bias();
-        let vinn_node = match drive {
-            InputDrive::Differential { dv } => {
-                c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
-                c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
-                "vinn"
-            }
-            InputDrive::UnityBuffer {
-                step_from,
-                step_to,
-                at,
-                rise,
-            } => {
-                c.vsource_tran(
-                    "vinp",
-                    "vinp",
-                    "0",
-                    step_from,
-                    Waveform::Step {
-                        level: step_to,
-                        at,
-                        rise,
-                    },
-                );
-                "out"
-            }
-        };
-
-        let mut mos = |name: &str, d: &str, g: &str, s: &str, b: &str| {
-            let dev = &self.devices[name];
-            let params = tech.mos(dev.polarity);
-            let w = self.drawn_w(mode, name);
-            let m = Mosfet::new(*params, w, dev.l);
-            let junction = match dev.polarity {
-                Polarity::Nmos => tech.caps.ndiff,
-                Polarity::Pmos => tech.caps.pdiff,
-            };
-            let dg = diffusion_geometry(tech, mode, name, &m, true);
-            let sg = diffusion_geometry(tech, mode, name, &m, false);
-            c.mos(
-                name,
-                d,
-                g,
-                s,
-                b,
-                m,
-                junction,
-                SimDiffGeom {
-                    area: dg.area,
-                    perimeter: dg.perimeter,
-                },
-                SimDiffGeom {
-                    area: sg.area,
-                    perimeter: sg.perimeter,
-                },
-            );
-        };
-
-        mos("mptail", "tail", "vp1", "vdd", "vdd");
-        // Mirror diode on the vinn side so that vinp is non-inverting
-        // (raising vinp starves the y1 diode leg → mirror sinks less →
-        // out rises).
-        // vinp drives the diode leg: raising vinp starves the diode, the
-        // mirror sinks less while the vinn leg pushes more — out rises,
-        // so vinp is the non-inverting input (as the unity-buffer bench
-        // requires).
-        mos("mp1", "x1", "vinp", "tail", "vdd");
-        mos("mp2", "x2", vinn_node, "tail", "vdd");
-        mos("mp1c", "y1", "vcp", "x1", "vdd");
-        mos("mp2c", "out", "vcp", "x2", "vdd");
-        mos("mn1c", "y1", "vcn", "z1", "0");
-        mos("mn2c", "out", "vcn", "z2", "0");
-        mos("mn3", "z1", "y1", "0", "0");
-        mos("mn4", "z2", "y1", "0", "0");
-
-        c.capacitor("cload", "out", "0", self.specs.c_load);
-
-        // Routing, coupling and well parasitics (case 4 only).
-        add_routing_caps(&mut c, mode, is_internal_net);
-        c
-    }
-}
-
-impl Amplifier for TelescopicOta {
     fn specs(&self) -> &OtaSpecs {
         &self.specs
     }
 
     fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        TelescopicOta::netlist(self, tech, mode, drive)
+        let mut c = Circuit::new();
+        c.vsource("vdd", "vdd", "0", self.specs.vdd);
+        c.vsource("vbp1", "vp1", "0", self.vp1);
+        c.vsource("vbcp", "vcp", "0", self.vcp);
+        c.vsource("vbcn", "vcn", "0", self.vcn);
+        let vinn_node = add_input_drive(&mut c, &self.specs, drive);
+
+        let mut mos = |name, pins| add_mos(&mut c, self, tech, mode, name, pins);
+        mos("mptail", ["tail", "vp1", "vdd", "vdd"]);
+        // vinp drives the diode leg: raising vinp starves the diode, the
+        // mirror sinks less while the vinn leg pushes more — out rises,
+        // so vinp is the non-inverting input (as the unity-buffer bench
+        // requires).
+        mos("mp1", ["x1", "vinp", "tail", "vdd"]);
+        mos("mp2", ["x2", vinn_node, "tail", "vdd"]);
+        mos("mp1c", ["y1", "vcp", "x1", "vdd"]);
+        mos("mp2c", ["out", "vcp", "x2", "vdd"]);
+        mos("mn1c", ["y1", "vcn", "z1", "0"]);
+        mos("mn2c", ["out", "vcn", "z2", "0"]);
+        mos("mn3", ["z1", "y1", "0", "0"]);
+        mos("mn4", ["z2", "y1", "0", "0"]);
+
+        c.capacitor("cload", "out", "0", self.specs.c_load);
+        // Routing, coupling and well parasitics (case 4 only).
+        add_routing_caps(&mut c, mode, &SIGNAL_NETS);
+        c
     }
 
     fn slew_estimate(&self) -> f64 {
         self.i_tail / self.specs.c_load.max(1e-15)
     }
 
-    fn fingerprint_discriminant(&self) -> &str {
-        "telescopic"
-    }
-
-    fn write_fingerprint(&self, h: &mut crate::eval::FnvHasher) -> bool {
+    fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
         crate::eval::hash_common_fingerprint(h, &self.devices, &self.specs);
         for v in [self.vp1, self.vcp, self.vcn, self.i_tail] {
             h.write_f64(v);
         }
         true
-    }
-}
-
-impl Topology for TelescopicOta {
-    fn topology_name(&self) -> &'static str {
-        "telescopic"
     }
 
     fn devices(&self) -> &HashMap<String, SizedDevice> {
@@ -459,12 +366,10 @@ impl Topology for TelescopicOta {
         }
     }
 
+    /// One tail current feeds both telescopic branches — there is no
+    /// separate cascode branch.
     fn supply_current_estimate(&self) -> f64 {
-        TelescopicOta::supply_current_estimate(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.i_tail
     }
 }
 

@@ -21,10 +21,10 @@
 //! gm6/(2π·CL) and the right-half-plane zero gm6/(2π·Cc) leave the
 //! requested phase margin.
 
-use crate::eval::{Amplifier, InputDrive};
+use crate::eval::{FnvHasher, InputDrive};
 use crate::feedback::ParasiticMode;
 use crate::ota::folded_cascode::{
-    add_routing_caps, diffusion_geometry, parasitic_on, SizedDevice, SizingError,
+    add_input_drive, add_mos, add_routing_caps, parasitic_on, SizedDevice, SizingError,
 };
 use crate::specs::OtaSpecs;
 use crate::topology::{
@@ -34,7 +34,7 @@ use crate::topology::{
 use losac_device::ekv::{evaluate, threshold};
 use losac_device::solve::{vgs_for_current, width_for_current, WidthBounds};
 use losac_device::Mosfet;
-use losac_sim::netlist::{Circuit, DiffGeom as SimDiffGeom, Waveform};
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 
@@ -43,12 +43,6 @@ pub const DEVICE_NAMES: [&str; 7] = ["mp1", "mp2", "mptail", "mn3", "mn4", "mn6"
 
 /// Circuit nets of the topology (excluding the input/bias sources).
 pub const SIGNAL_NETS: [&str; 5] = ["tail", "x0", "x1", "out", "vdd"];
-
-/// Nets that exist in the verification netlist (see
-/// [`add_routing_caps`]).
-fn is_internal_net(net: &str) -> bool {
-    SIGNAL_NETS.contains(&net) || net == "vinp" || net == "vinn"
-}
 
 /// A sized two-stage OTA.
 #[derive(Debug, Clone)]
@@ -249,135 +243,52 @@ impl TwoStagePlan {
     }
 }
 
-impl TwoStageOta {
-    /// Drawn width of a device (m) — the layout feedback's grid-snapped
-    /// width when it corresponds to this sizing (see
-    /// [`Topology::drawn_w`] for the 5 % guard).
-    pub fn drawn_w(&self, mode: &ParasiticMode, name: &str) -> f64 {
-        Topology::drawn_w(self, mode, name)
+impl Topology for TwoStageOta {
+    fn topology_name(&self) -> &'static str {
+        "two_stage"
     }
 
-    /// Total quiescent current estimate (A): the first-stage tail plus
-    /// the second-stage branch.
-    pub fn supply_current_estimate(&self) -> f64 {
-        self.i_tail + self.i_stage2
-    }
-
-    /// Build the amplifier netlist for the requested testbench.
-    pub fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        let mut c = Circuit::new();
-        c.vsource("vdd", "vdd", "0", self.specs.vdd);
-        c.vsource("vbp1", "vp1", "0", self.vp1);
-        c.vsource("vbp2", "vp2", "0", self.vp2);
-
-        let cm = self.specs.input_cm_bias();
-        let vinn_node = match drive {
-            InputDrive::Differential { dv } => {
-                c.vsource("vinp", "vinp", "0", cm + dv / 2.0);
-                c.vsource("vinn", "vinn", "0", cm - dv / 2.0);
-                "vinn"
-            }
-            InputDrive::UnityBuffer {
-                step_from,
-                step_to,
-                at,
-                rise,
-            } => {
-                c.vsource_tran(
-                    "vinp",
-                    "vinp",
-                    "0",
-                    step_from,
-                    Waveform::Step {
-                        level: step_to,
-                        at,
-                        rise,
-                    },
-                );
-                "out"
-            }
-        };
-
-        let mut mos = |name: &str, d: &str, g: &str, s: &str, b: &str| {
-            let dev = &self.devices[name];
-            let params = tech.mos(dev.polarity);
-            let w = self.drawn_w(mode, name);
-            let m = Mosfet::new(*params, w, dev.l);
-            let junction = match dev.polarity {
-                Polarity::Nmos => tech.caps.ndiff,
-                Polarity::Pmos => tech.caps.pdiff,
-            };
-            let dg = diffusion_geometry(tech, mode, name, &m, true);
-            let sg = diffusion_geometry(tech, mode, name, &m, false);
-            c.mos(
-                name,
-                d,
-                g,
-                s,
-                b,
-                m,
-                junction,
-                SimDiffGeom {
-                    area: dg.area,
-                    perimeter: dg.perimeter,
-                },
-                SimDiffGeom {
-                    area: sg.area,
-                    perimeter: sg.perimeter,
-                },
-            );
-        };
-
-        mos("mptail", "tail", "vp1", "vdd", "vdd");
-        // The mirror diode sits on the *vinn* side: raising vinp starves
-        // x1, the second stage inverts, and out rises — vinp is the
-        // non-inverting input, which is what the unity-buffer testbench
-        // (vinn wired to out) requires for negative feedback.
-        mos("mp1", "x1", "vinp", "tail", "vdd");
-        mos("mp2", "x0", vinn_node, "tail", "vdd");
-        mos("mn3", "x0", "x0", "0", "0");
-        mos("mn4", "x1", "x0", "0", "0");
-        mos("mn6", "out", "x1", "0", "0");
-        mos("mp7", "out", "vp2", "vdd", "vdd");
-
-        c.capacitor("cc", "x1", "out", self.cc);
-        c.capacitor("cload", "out", "0", self.specs.c_load);
-
-        // Routing, coupling and well parasitics (case 4 only).
-        add_routing_caps(&mut c, mode, is_internal_net);
-        c
-    }
-}
-
-impl Amplifier for TwoStageOta {
     fn specs(&self) -> &OtaSpecs {
         &self.specs
     }
 
     fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit {
-        TwoStageOta::netlist(self, tech, mode, drive)
+        let mut c = Circuit::new();
+        c.vsource("vdd", "vdd", "0", self.specs.vdd);
+        c.vsource("vbp1", "vp1", "0", self.vp1);
+        c.vsource("vbp2", "vp2", "0", self.vp2);
+        let vinn_node = add_input_drive(&mut c, &self.specs, drive);
+
+        let mut mos = |name, pins| add_mos(&mut c, self, tech, mode, name, pins);
+        mos("mptail", ["tail", "vp1", "vdd", "vdd"]);
+        // The mirror diode sits on the *vinn* side: raising vinp starves
+        // x1, the second stage inverts, and out rises — vinp is the
+        // non-inverting input, which is what the unity-buffer testbench
+        // (vinn wired to out) requires for negative feedback.
+        mos("mp1", ["x1", "vinp", "tail", "vdd"]);
+        mos("mp2", ["x0", vinn_node, "tail", "vdd"]);
+        mos("mn3", ["x0", "x0", "0", "0"]);
+        mos("mn4", ["x1", "x0", "0", "0"]);
+        mos("mn6", ["out", "x1", "0", "0"]);
+        mos("mp7", ["out", "vp2", "vdd", "vdd"]);
+
+        c.capacitor("cc", "x1", "out", self.cc);
+        c.capacitor("cload", "out", "0", self.specs.c_load);
+        // Routing, coupling and well parasitics (case 4 only).
+        add_routing_caps(&mut c, mode, &SIGNAL_NETS);
+        c
     }
 
     fn slew_estimate(&self) -> f64 {
         (self.i_tail / self.cc).min(self.i_stage2 / self.specs.c_load)
     }
 
-    fn fingerprint_discriminant(&self) -> &str {
-        "two_stage"
-    }
-
-    fn write_fingerprint(&self, h: &mut crate::eval::FnvHasher) -> bool {
+    fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
         crate::eval::hash_common_fingerprint(h, &self.devices, &self.specs);
         for v in [self.vp1, self.vp2, self.cc, self.i_tail, self.i_stage2] {
             h.write_f64(v);
         }
         true
-    }
-}
-
-impl Topology for TwoStageOta {
-    fn topology_name(&self) -> &'static str {
-        "two_stage"
     }
 
     fn devices(&self) -> &HashMap<String, SizedDevice> {
@@ -481,12 +392,9 @@ impl Topology for TwoStageOta {
         }
     }
 
+    /// The first-stage tail plus the second-stage branch.
     fn supply_current_estimate(&self) -> f64 {
-        TwoStageOta::supply_current_estimate(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.i_tail + self.i_stage2
     }
 }
 

@@ -11,7 +11,6 @@
 //! is the quantitative argument behind the paper's Fig. 3 and the dummy
 //! devices in Fig. 5.
 
-use crate::ota::folded_cascode::FoldedCascodeOta;
 use crate::topology::{LayoutModule, Topology};
 use losac_device::ekv::evaluate;
 use losac_device::mismatch::{systematic_vt_offset, PairMismatch};
@@ -56,21 +55,6 @@ pub enum MatchingStyle {
     SideBySide,
 }
 
-/// Monte-Carlo input-referred offset of the folded-cascode OTA.
-///
-/// Thin wrapper over [`offset_monte_carlo_topology`], kept for the
-/// historical call sites that hold the concrete type.
-pub fn offset_monte_carlo(
-    ota: &FoldedCascodeOta,
-    tech: &Technology,
-    style: MatchingStyle,
-    gradient: f64,
-    samples: usize,
-    seed: u64,
-) -> OffsetStatistics {
-    offset_monte_carlo_topology(ota, tech, style, gradient, samples, seed)
-}
-
 /// Monte-Carlo input-referred offset of any [`Topology`].
 ///
 /// The mismatch-critical pairs are read off the topology's own layout
@@ -90,7 +74,7 @@ pub fn offset_monte_carlo(
 /// of slot order and reproducible per die, the same scenario machinery
 /// the evaluator's Monte-Carlo sweeps use. To analyse a process corner,
 /// pass the corner-derived technology (`pvt.derive(&tech)`).
-pub fn offset_monte_carlo_topology(
+pub fn offset_monte_carlo(
     topo: &dyn Topology,
     tech: &Technology,
     style: MatchingStyle,
@@ -203,7 +187,7 @@ pub fn offset_monte_carlo_topology(
 mod tests {
     use super::*;
     use crate::feedback::ParasiticMode;
-    use crate::ota::folded_cascode::FoldedCascodePlan;
+    use crate::ota::folded_cascode::{FoldedCascodeOta, FoldedCascodePlan};
     use crate::specs::OtaSpecs;
 
     fn setup() -> (Technology, FoldedCascodeOta) {
@@ -270,7 +254,7 @@ mod tests {
             let topo = plan
                 .size_topology(&tech, &plan.example_specs(), &ParasiticMode::None)
                 .unwrap();
-            let st = offset_monte_carlo_topology(
+            let st = offset_monte_carlo(
                 topo.as_ref(),
                 &tech,
                 MatchingStyle::CommonCentroid,
@@ -284,7 +268,7 @@ mod tests {
                 st.sigma * 1e3
             );
             // Addressed draws: deterministic per (seed, sample, group).
-            let again = offset_monte_carlo_topology(
+            let again = offset_monte_carlo(
                 topo.as_ref(),
                 &tech,
                 MatchingStyle::CommonCentroid,

@@ -2,23 +2,25 @@
 //!
 //! The paper's contribution is a *methodology* — sizing and layout
 //! coupled in a loop — not a folded-cascode program. This module is the
-//! contract that keeps the loop topology-generic: a [`Topology`] is an
-//! [`Amplifier`] that additionally tells the layout planner how its
-//! devices group into matched stacks, how they place into rows, and what
-//! currents its nets carry; a [`TopologyPlan`] is the knowledge-based
-//! sizing procedure that produces one. The flow (`losac-core`), the
-//! layout planner and the batch engine (`losac-engine`) all speak these
-//! two traits; adding a topology is a data-only addition against them.
+//! contract that keeps the loop topology-generic: a [`Topology`] is one
+//! description of a sized amplifier that the evaluator measures (specs,
+//! netlist, cache fingerprint) and the layout planner draws (matched
+//! stacks, placement rows, net currents); a [`TopologyPlan`] is the
+//! knowledge-based sizing procedure that produces one. The flow
+//! (`losac-core`), the evaluator, the layout planner and the batch
+//! engine (`losac-engine`) all speak these two traits; adding a topology
+//! is a data-only addition against them.
 //!
 //! The layout description ([`TopologyLayoutSpec`]) is deliberately plain
 //! data — names, nets, polarities, row indices — so `losac-sizing` does
 //! not depend on the layout crate. `losac-core` translates it into an
 //! executable `LayoutPlan` (fold policies, finger widths, slicing tree).
 
-use crate::eval::Amplifier;
+use crate::eval::{FnvHasher, InputDrive};
 use crate::feedback::{LayoutFeedback, ParasiticMode};
 use crate::ota::folded_cascode::{SizedDevice, SizingError};
 use crate::specs::OtaSpecs;
+use losac_sim::netlist::Circuit;
 use losac_tech::{Polarity, Technology};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,19 +116,54 @@ pub struct TopologyLayoutSpec {
     pub net_currents: HashMap<String, f64>,
 }
 
-/// An amplifier the full sizing↔layout loop can drive — the object-safe
-/// extension of [`Amplifier`] with everything the loop actually needs
-/// beyond evaluation: the sized-device map, the matched-group/placement
-/// metadata for the layout planner, feedback application and a supply
-/// current estimate.
+/// A sized amplifier: everything the evaluator and the sizing↔layout
+/// loop need from one topology — the specification it was sized for,
+/// its testbench netlist and cache fingerprint, the sized-device map,
+/// the matched-group/placement metadata for the layout planner, feedback
+/// application and a supply current estimate.
 ///
-/// All methods are object-safe; the flow holds topologies as
-/// `Box<dyn Topology>` / `Arc<dyn Topology>` and upcasts to
-/// `&dyn Amplifier` for evaluation.
-pub trait Topology: Amplifier + std::fmt::Debug + Send + Sync {
-    /// Stable topology name; also the registry key and the cache-key
-    /// discriminant (see [`Amplifier::fingerprint_discriminant`]).
+/// All methods are object-safe; the flow, the evaluator and the engine
+/// hold topologies as `&dyn Topology` / `Box<dyn Topology>` /
+/// `Arc<dyn Topology>`. The `Sync` bound also lets the evaluator run the
+/// slew-rate transient concurrently with the small-signal pipeline
+/// (both only read the amplifier).
+pub trait Topology: std::fmt::Debug + Send + Sync {
+    /// Stable topology name: the registry key, and the prefix of every
+    /// evaluation cache key, written before
+    /// [`write_fingerprint`](Topology::write_fingerprint) so two
+    /// topologies emitting identical fingerprint byte streams can never
+    /// alias in a shared cache.
     fn topology_name(&self) -> &'static str;
+
+    /// The specification the amplifier was sized for.
+    fn specs(&self) -> &OtaSpecs;
+
+    /// Build the amplifier netlist in the requested testbench, with
+    /// parasitics per `mode`. Sources must be named `vinp`/`vinn`, the
+    /// supply `vdd`, and the output node `out`.
+    fn netlist(&self, tech: &Technology, mode: &ParasiticMode, drive: InputDrive) -> Circuit;
+
+    /// Rough slew-rate estimate (V/s), used only to choose the transient
+    /// time scale.
+    fn slew_estimate(&self) -> f64;
+
+    /// Mix every field that influences [`netlist`](Topology::netlist)
+    /// and [`slew_estimate`](Topology::slew_estimate) — geometries, bias
+    /// points, passives and specs — into `h`, and return `true` to opt
+    /// into [`EvalCache`](crate::eval::EvalCache) keying. The hasher
+    /// records the exact byte stream alongside the hash, so the cache
+    /// verifies the full key on lookup and a 64-bit hash collision can
+    /// never alias two designs.
+    ///
+    /// The default (write nothing, return `false`) opts the topology out
+    /// of caching entirely, so an implementor that forgets to cover a
+    /// field can only ever be slower, never wrong *if* it hashes
+    /// everything it exposes to the netlist. [`FnvHasher`] keeps float
+    /// quantisation uniform across the whole key.
+    fn write_fingerprint(&self, h: &mut FnvHasher) -> bool {
+        let _ = h;
+        false
+    }
 
     /// The sized devices by name.
     fn devices(&self) -> &HashMap<String, SizedDevice>;
@@ -174,10 +211,6 @@ pub trait Topology: Amplifier + std::fmt::Debug + Send + Sync {
             }
         }
     }
-
-    /// The concrete type, for callers that need topology-specific data
-    /// (bias voltages, branch currents) behind the object.
-    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 /// A knowledge-based sizing procedure that produces a [`Topology`] —

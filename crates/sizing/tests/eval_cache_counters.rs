@@ -4,6 +4,8 @@
 //! are process-global, so factorisation deltas would race against sibling
 //! tests running in the same process.
 
+mod oracle;
+
 use losac_obs::metrics::snapshot;
 use losac_sizing::eval::{evaluate_with, EvalCache, EvalOptions};
 use losac_sizing::{FoldedCascodePlan, OtaSpecs, ParasiticMode};
@@ -32,17 +34,15 @@ fn reuse_and_cache_cut_matrix_factorisations() {
 
     // Linearisation reuse replaces the single-point CM and Rout sweeps
     // with one factorisation each; the full evaluation must therefore
-    // factorise strictly fewer matrices than the legacy path.
-    let (_, legacy_facts) = counter_delta(FACTS, || {
-        evaluate_with(&ota, &tech, &mode, &EvalOptions::legacy()).expect("legacy")
-    });
+    // factorise strictly fewer matrices than the fresh-sweep oracle.
+    let (_, oracle_facts) = counter_delta(FACTS, || oracle::reference_evaluate(&ota, &tech, &mode));
     let (_, reuse_facts) = counter_delta(FACTS, || {
         evaluate_with(&ota, &tech, &mode, &EvalOptions::default()).expect("reuse")
     });
-    assert!(legacy_facts > 0, "legacy path must factorise");
+    assert!(oracle_facts > 0, "the oracle must factorise");
     assert!(
-        reuse_facts < legacy_facts,
-        "reuse did not save factorisations ({reuse_facts} vs {legacy_facts})"
+        reuse_facts < oracle_facts,
+        "reuse did not save factorisations ({reuse_facts} vs {oracle_facts})"
     );
 
     // A cache hit answers from the table: zero simulator work, and the

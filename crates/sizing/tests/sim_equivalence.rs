@@ -1,17 +1,20 @@
 //! Equivalence gates for the simulator hot-path overhaul.
 //!
-//! Every optimisation behind [`EvalOptions`] — linearisation reuse,
-//! single-point probes, intra-sweep thread fan-out, the keyed evaluation
-//! cache — must be **bitwise identical** to the historical serial
-//! fresh-allocation path. These tests enforce that with `f64::to_bits`
+//! The evaluator's optimisations — linearisation reuse, single-point
+//! probes, intra-sweep thread fan-out, the keyed evaluation cache — must
+//! be **bitwise identical** to the serial fresh-sweep pipeline, which
+//! `oracle::reference_evaluate` recomputes from the public simulator
+//! APIs on every run. These tests enforce that with `f64::to_bits`
 //! comparisons on full sweeps and on every `Performance` field; any
 //! reordering of floating-point operations fails the suite.
+
+mod oracle;
 
 use losac_sim::ac::{ac_sweep, ac_sweep_on, AcOptions};
 use losac_sim::dc::{dc_operating_point, DcOptions};
 use losac_sim::linear::Linearized;
 use losac_sizing::eval::{evaluate_with, EvalCache, EvalOptions, InputDrive, Performance};
-use losac_sizing::{FoldedCascodeOta, FoldedCascodePlan, OtaSpecs, ParasiticMode};
+use losac_sizing::{FoldedCascodeOta, FoldedCascodePlan, OtaSpecs, ParasiticMode, Topology};
 use losac_tech::Technology;
 use std::sync::Arc;
 
@@ -79,10 +82,10 @@ fn parallel_ac_sweep_is_bitwise_identical_to_serial() {
 }
 
 #[test]
-fn optimised_evaluate_is_bitwise_identical_to_legacy() {
+fn optimised_evaluate_is_bitwise_identical_to_the_oracle() {
     let (tech, ota) = sized_ota();
     let mode = ParasiticMode::None;
-    let reference = evaluate_with(&ota, &tech, &mode, &EvalOptions::legacy()).expect("legacy");
+    let reference = oracle::reference_evaluate(&ota, &tech, &mode);
     for (label, opts) in [
         ("reuse_1t", EvalOptions::default()),
         ("reuse_2t", EvalOptions::default().with_threads(2)),
@@ -92,7 +95,7 @@ fn optimised_evaluate_is_bitwise_identical_to_legacy() {
         assert_eq!(
             perf_bits(&perf),
             perf_bits(&reference),
-            "{label} diverged from the legacy serial path"
+            "{label} diverged from the fresh-sweep oracle"
         );
     }
 }

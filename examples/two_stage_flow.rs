@@ -9,7 +9,7 @@
 use losac::sizing::eval::evaluate;
 use losac::sizing::offset_monte_carlo;
 use losac::sizing::ota::telescopic::telescopic_example_specs;
-use losac::sizing::FoldedCascodePlan;
+use losac::sizing::{FoldedCascodePlan, Topology};
 use losac::sizing::{MatchingStyle, OtaSpecs, ParasiticMode, TelescopicPlan, TwoStagePlan};
 use losac::tech::Technology;
 
@@ -58,13 +58,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p1.power * 1e3
     );
 
-    // The statistical interface works for the folded cascode topology.
-    let st = offset_monte_carlo(&fc, &tech, MatchingStyle::CommonCentroid, 10.0, 2000, 1);
-    println!(
-        "\nfolded-cascode Monte-Carlo offset: mean {:+.3} mV, sigma {:.3} mV ({} samples)",
-        st.mean * 1e3,
-        st.sigma * 1e3,
-        st.samples
-    );
+    // The statistical interface reads the matched pairs off each
+    // topology's own layout description, so it covers all three.
+    println!();
+    let sized: [&dyn Topology; 3] = [&fc, &two_stage, &tele];
+    for ota in sized {
+        let st = offset_monte_carlo(ota, &tech, MatchingStyle::CommonCentroid, 10.0, 2000, 1);
+        println!(
+            "{} Monte-Carlo offset: mean {:+.3} mV, sigma {:.3} mV ({} samples)",
+            ota.topology_name(),
+            st.mean * 1e3,
+            st.sigma * 1e3,
+            st.samples
+        );
+    }
     Ok(())
 }

@@ -39,6 +39,22 @@ if ! cargo test -q; then
     fail=1
 fi
 
+# The whole workspace suite (every crate's unit and integration tests,
+# not only the facade's) in both profiles: release builds drop
+# `debug_assert!`s, so invariants that protect numerical results must
+# hold, and be tested, without them.
+echo "==> cargo test --workspace (debug)"
+if ! cargo test --workspace -q; then
+    echo "FAIL: workspace tests (debug)"
+    fail=1
+fi
+
+echo "==> cargo test --workspace (release)"
+if ! cargo test --workspace -q --release; then
+    echo "FAIL: workspace tests (release)"
+    fail=1
+fi
+
 # Batch engine integration: the 4-case Table-1 batch must be bitwise
 # identical to serial run_case whether one worker or four execute it.
 echo "==> batch engine integration (1 worker)"
@@ -105,7 +121,9 @@ fi
 
 # Hot-path equivalence gates: every simulator optimisation (linearisation
 # reuse, thread fan-out, eval cache) must be bitwise identical to the
-# legacy serial path, and must measurably cut matrix factorisations.
+# fresh-sweep reference pipeline, which the test-side oracle
+# (crates/sizing/tests/oracle) recomputes from the public simulator APIs
+# on every run, and must measurably cut matrix factorisations against it.
 echo "==> simulator equivalence gates"
 if ! LOSAC_LOG=off cargo test -q --release -p losac-sizing \
     --test sim_equivalence --test eval_cache_counters; then

@@ -4,7 +4,7 @@
 //! transconductances reappear in the simulated operating point.
 
 use losac::sim::dc::{dc_operating_point, DcOptions};
-use losac::sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode};
+use losac::sizing::{FoldedCascodePlan, InputDrive, OtaSpecs, ParasiticMode, Topology};
 use losac::tech::Technology;
 
 #[test]

@@ -6,8 +6,17 @@ use losac::flow::flow::{layout_oriented_synthesis, FlowOptions, FlowResult};
 use losac::obs::{Collector, RecordKind};
 use losac::sizing::{FoldedCascodePlan, OtaSpecs};
 use losac::tech::Technology;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Serialises the two tests of this file: the flow test installs a
+/// process-wide sink and loads the CPU, so an overhead probe running
+/// beside it would time armed spans or a contended core instead of the
+/// disabled path it measures.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn run_flow() -> FlowResult {
     let tech = Technology::cmos06();
@@ -22,6 +31,7 @@ fn run_flow() -> FlowResult {
 
 #[test]
 fn flow_emits_spans_events_and_counters() {
+    let _exclusive = exclusive();
     let collector = Collector::new();
     let guard = losac::obs::install(Arc::new(collector.clone()));
     let result = run_flow();
@@ -87,6 +97,7 @@ fn flow_emits_spans_events_and_counters() {
 
 #[test]
 fn disabled_instrumentation_overhead_is_small() {
+    let _exclusive = exclusive();
     // With no sink installed a span is one atomic load and a counter one
     // atomic add. The bound here is deliberately generous (the acceptance
     // bar is <3% on the full flow; a hot loop of pure instrumentation
@@ -122,10 +133,9 @@ fn disabled_instrumentation_overhead_is_small() {
     }
     let per_observe = start.elapsed().as_nanos() / u128::from(N);
 
-    // The sibling test installs a sink while running its flow; when it
-    // overlaps with this one the spans arm and the measurement reflects
-    // the *enabled* path instead. Only assert the disabled-path bound
-    // when nothing was listening.
+    // A sink installed from outside this file (`LOSAC_LOG`) arms the
+    // spans, and the measurement then reflects the *enabled* path. Only
+    // assert the disabled-path bound when nothing was listening.
     if active_before || losac::obs::active() {
         eprintln!("sink active during overhead probe — skipping disabled-path bound");
         return;
